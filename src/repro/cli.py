@@ -647,14 +647,13 @@ def _cmd_report(args) -> int:
         profile_path=args.profile, timeseries_path=args.timeseries,
     )
     if args.trend and observed.timeseries is not None:
-        from repro.obs import AlertEngine
+        from repro.obs import AlertEngine, alert_key
 
         alert_engine = AlertEngine()
         alert_engine.replay(observed.timeseries)
-        seen = {(a.get("rule"), a.get("message")) for a in observed.alerts}
+        seen = {alert_key(a) for a in observed.alerts}
         observed.alerts.extend(
-            a for a in alert_engine.to_dicts()
-            if (a.get("rule"), a.get("message")) not in seen
+            a for a in alert_engine.to_dicts() if alert_key(a) not in seen
         )
     print(observed.render_json() if args.json else observed.render_text())
     return 0
@@ -675,24 +674,20 @@ def _cmd_serve(args) -> int:
         if path and not os.path.exists(path):
             print(f"repro serve: no such file: {path}", file=sys.stderr)
             return 2
-    ledger = None
+    # Re-evaluate the rules over each artifact so /healthz and the
+    # /dashboard badges show what a live session would have reported.
     alert_engine = None
+    if args.ledger or args.timeseries:
+        alert_engine = AlertEngine()
+    ledger = None
     if args.ledger:
         ledger = PrivacyLedger.read_jsonl(args.ledger)
-        # Re-evaluate the rules over the recorded releases so /healthz
-        # reflects what a live session would have reported.
-        alert_engine = AlertEngine()
         alert_engine.replay(ledger)
     timeseries = None
     if args.timeseries:
         from repro.obs.timeseries import TimeSeriesStore
 
         timeseries = TimeSeriesStore.read_jsonl(args.timeseries)
-        if alert_engine is None:
-            alert_engine = AlertEngine()
-        # Same replay contract as the ledger: the windowed rules walk
-        # the recorded ticks, so /healthz and /dashboard badges show
-        # what continuous monitoring would have fired.
         alert_engine.replay(timeseries)
     static_trace = None
     if args.trace:

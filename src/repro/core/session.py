@@ -51,6 +51,7 @@ from repro.engine.context import EngineContext
 from repro.engine.metrics import MetricsRegistry, MetricsSnapshot
 from repro.obs.ledger import PrivacyLedger, make_entry
 from repro.obs.report import run_header
+from repro.obs.timeseries import record_release
 from repro.obs.tracing import NULL_SPAN, NULL_TRACER, Tracer, get_tracer
 
 
@@ -348,26 +349,26 @@ class UPASession:
         return self._tracer if self._tracer is not None else get_tracer()
 
     def attach_alerts(self, engine=None):
-        """Wire an alert engine to this session's ledger and accountant.
+        """Wire an alert engine to this session's time-series store.
 
         With no argument, builds one over the default rules (budget
-        burn rate, sensitivity drift, clamp rate).  Firings then land
-        in the ledger header, the live ``/healthz`` endpoint, and the
-        CLI's exit summary.  Idempotent: a second call returns the
-        already-attached engine.
+        burn, sensitivity drift, clamp rate, worker health).  The rules
+        read the store, so this attaches one if none is yet (without a
+        sampler thread: every release ticks it, so every release is
+        one evaluation point).  Firings then land in the ledger header,
+        the live ``/healthz`` endpoint, and the CLI's exit summary.
+        Idempotent: a second call returns the already-attached engine.
         """
         from repro.obs.alerts import AlertEngine
 
         if self.alert_engine is not None:
             return self.alert_engine
-        if engine is None:
-            engine = AlertEngine(accountant=self.accountant)
-        elif engine.accountant is None:
-            engine.accountant = self.accountant
+        self.alert_engine = engine if engine is not None else AlertEngine()
         if self.ledger is not None:
-            engine.attach(self.ledger)
-        self.alert_engine = engine
-        return engine
+            self.alert_engine.attach(self.ledger)
+        self.alert_engine.attach_timeseries(
+            self.attach_timeseries(alerts=False))
+        return self.alert_engine
 
     def attach_timeseries(self, store=None, *, interval: float = 1.0,
                           start: bool = False, alerts: bool = True):
@@ -377,28 +378,27 @@ class UPASession:
         :class:`~repro.obs.timeseries.TimeSeriesStore` over the engine
         registry.  Every release then ticks the store (so an
         ``append``/``retire`` loop grows real time series) and — with
-        ``alerts`` (the default) — evaluates the windowed alert rules
-        on each tick.  ``start=True`` also starts the daemon sampler
-        thread, which keeps sampling between releases; the engine's
-        :meth:`~repro.engine.context.EngineContext.stop` stops it.
-        Idempotent: a second call returns the already-attached store
-        (starting its sampler if newly asked to).
+        ``alerts`` (the default) — the alert rules evaluate on each
+        tick (:meth:`attach_alerts`).  ``start=True`` also starts the
+        daemon sampler thread, which keeps sampling between releases;
+        the engine's :meth:`~repro.engine.context.EngineContext.stop`
+        stops it.  Idempotent: a second call returns the
+        already-attached store (starting its sampler if newly asked
+        to).
         """
         from repro.obs.timeseries import TimeSeriesStore
 
-        if self.timeseries is not None:
-            if start:
-                self.timeseries.start()
-            return self.timeseries
-        if store is None:
-            store = TimeSeriesStore(self.engine.metrics, interval=interval)
+        if self.timeseries is None:
+            if store is None:
+                store = TimeSeriesStore(self.engine.metrics,
+                                        interval=interval)
+            self.engine.install_timeseries(store)
+            self.timeseries = store
         if alerts:
-            self.attach_alerts().attach_timeseries(store)
-        self.engine.install_timeseries(store)
-        self.timeseries = store
+            self.attach_alerts()
         if start:
-            store.start()
-        return store
+            self.timeseries.start()
+        return self.timeseries
 
     def serve(self, port: int = 0, host: str = "127.0.0.1",
               alerts: bool = True, profiler=None,
@@ -421,12 +421,12 @@ class UPASession:
 
         if self.obs_server is not None:
             return self.obs_server
-        engine = self.attach_alerts() if alerts else None
         store = None
         if timeseries:
             store = self.attach_timeseries(
                 interval=timeseries_interval, alerts=alerts, start=True,
             )
+        engine = self.attach_alerts() if alerts else None
         tracer = self.tracer
         self.obs_server = self.engine.serve(
             port=port, host=host,
@@ -474,11 +474,8 @@ class UPASession:
             cached = self._answer_cache.get(cache_key)
             if cached is not None:
                 self.engine.metrics.incr("answer_cache_hits")
-                self._record_ledger(
-                    query, cached, epsilon_charged=0.0, delta=0.0,
-                    cache_hit=True,
-                )
-                self._observe_release(cached, 0.0, cache_hit=True)
+                self._observe_release(query, cached, 0.0, 0.0,
+                                      cache_hit=True)
                 return cached
         delta = self.config.delta if self.config.mechanism == "gaussian" else 0.0
         if self.accountant is not None:
@@ -544,11 +541,7 @@ class UPASession:
         )
         if cache_key is not None:
             self._answer_cache[cache_key] = result
-        self._record_ledger(
-            query, result, epsilon_charged=epsilon, delta=delta,
-            cache_hit=False,
-        )
-        self._observe_release(result, epsilon, cache_hit=False)
+        self._observe_release(query, result, epsilon, delta, cache_hit=False)
         return result
 
     def append(
@@ -614,48 +607,44 @@ class UPASession:
 
     def _observe_release(
         self,
+        query: MapReduceQuery,
         result: UPAResult,
         epsilon_charged: float,
+        delta: float,
         *,
         cache_hit: bool,
     ) -> None:
-        """Fold one release into the metric registry and time series.
+        """Audit one release and fold it into the metrics and time series.
 
         Runs after the result (and its per-run metrics diff) is fully
-        built, so these counters never appear inside a run's own
+        built, so these series never appear inside a run's own
         ``result.metrics`` window.  The final tick pushes the fresh
-        values into the attached time-series store, which evaluates the
-        windowed alert rules through its listeners — this is what makes
-        every ``append``/``retire`` release an alert-evaluation point.
-        Pure observation: nothing here touches the RNG or the pipeline,
-        so DP outputs are bitwise identical with or without it.
+        values into the attached time-series store, whose listeners
+        evaluate the alert rules — this is what makes every release an
+        alert-evaluation point.  Pure observation: nothing here touches
+        the RNG or the pipeline, so DP outputs are bitwise identical
+        with or without it.
         """
-        metrics = self.engine.metrics
-        metrics.incr(MetricsRegistry.RELEASES)
-        if epsilon_charged > 0:
-            metrics.incr(MetricsRegistry.RELEASE_EPSILON, epsilon_charged)
-        if not cache_hit:
-            enforcement = result.enforcement
-            if enforcement.clamped:
-                metrics.incr(MetricsRegistry.RELEASE_CLAMPS)
-            if enforcement.records_removed:
-                metrics.incr(
-                    MetricsRegistry.RELEASE_RECORDS_REMOVED,
-                    float(enforcement.records_removed),
-                )
-            metrics.set_gauge(
-                MetricsRegistry.RELEASE_SENSITIVITY,
-                result.local_sensitivity,
-            )
+        spent = remaining = None
         if self.accountant is not None:
-            metrics.set_gauge(
-                MetricsRegistry.BUDGET_REMAINING,
-                float(self.accountant.remaining_epsilon()),
-            )
-            metrics.set_gauge(
-                MetricsRegistry.BUDGET_SPENT,
-                float(self.accountant.spent()[0]),
-            )
+            spent = float(self.accountant.spent()[0])
+            remaining = float(self.accountant.remaining_epsilon())
+        self._record_ledger(
+            query, result, epsilon_charged=epsilon_charged, delta=delta,
+            cache_hit=cache_hit, spent=spent, remaining=remaining,
+        )
+        enforcement = result.enforcement
+        record_release(
+            self.engine.metrics,
+            query=query.name,
+            epsilon_charged=epsilon_charged,
+            cache_hit=cache_hit,
+            clamped=enforcement.clamped,
+            records_removed=enforcement.records_removed,
+            local_sensitivity=result.local_sensitivity,
+            remaining_epsilon=remaining,
+            spent_epsilon=spent,
+        )
         if self.timeseries is not None:
             self.timeseries.tick()
 
@@ -681,6 +670,8 @@ class UPASession:
         epsilon_charged: float,
         delta: float,
         cache_hit: bool,
+        spent: Optional[float],
+        remaining: Optional[float],
     ) -> None:
         """Append one audit entry for a release (or cached re-release)."""
         ledger = self.ledger
@@ -723,10 +714,6 @@ class UPASession:
                 float(incremental["delta_fraction"]) if incremental else 0.0
             ),
         )
-        spent = remaining = None
-        if self.accountant is not None:
-            spent = float(self.accountant.spent()[0])
-            remaining = float(self.accountant.remaining_epsilon())
         inferred = result.inferred_range
         enforcement = result.enforcement
         ledger.append(make_entry(

@@ -211,13 +211,14 @@ class MetricsRegistry:
     #: incremental release (1.0 = effectively a cold run).
     INCR_DELTA_FRACTION = "incremental.delta_fraction"
 
-    #: Counter/gauge names recorded per DP release by UPASession so the
-    #: time-series store (repro.obs.timeseries) can derive rates and the
-    #: windowed alert rules can forecast budget exhaustion.  The epsilon
-    #: counter accumulates *charged* epsilon (cache hits add zero), the
-    #: budget gauges mirror the accountant, and the sensitivity gauge is
-    #: the last release's exact local sensitivity.
+    #: Per-release series (repro.obs.timeseries.record_release).  The
+    #: epsilon counter accumulates *charged* epsilon, ``release.charged``
+    #: counts charged releases (cache hits charge nothing), the budget
+    #: gauges mirror the accountant, and the sensitivity gauge is the
+    #: last release's exact local sensitivity.  The charged counter and
+    #: the sensitivity gauge keep a ``query=<name>`` series per query.
     RELEASES = "release.count"
+    RELEASE_CHARGED = "release.charged"
     RELEASE_CLAMPS = "release.clamps"
     RELEASE_RECORDS_REMOVED = "release.records_removed"
     RELEASE_EPSILON = "release.epsilon_charged"

@@ -18,8 +18,10 @@ Live-monitoring pillars (same doc, "Live monitoring"):
   endpoints (``/metrics``, ``/healthz``, ``/ledger``, ``/traces``,
   ``/budget``, ``/profile``) behind ``repro … --serve``.
 * :mod:`repro.obs.alerts` — declarative :class:`AlertRule`s (budget
-  burn rate, sensitivity drift, clamp rate) driven by ledger appends
-  and metrics scrapes.
+  burn, sensitivity drift, clamp rate, rate/trend/gauge gates, worker
+  starvation), all window rules over the time-series store, evaluated
+  by one :meth:`AlertEngine.observe_window` path with one dedupe
+  policy and one :meth:`AlertEngine.replay` for ledgers and stores.
 * :mod:`repro.obs.profiler` — the span-attributing
   :class:`SamplingProfiler` with collapsed-stack export.
 * :mod:`repro.obs.crossproc` — cross-process telemetry for
@@ -49,8 +51,8 @@ from repro.obs.alerts import (
     RateRule,
     SensitivityDriftRule,
     TrendRule,
-    WorkerRssRule,
     WorkerStarvationRule,
+    alert_key,
     default_rules,
 )
 from repro.obs.crossproc import (
@@ -123,10 +125,10 @@ __all__ = [
     "TimeSeriesStore",
     "Tracer",
     "TrendRule",
-    "WorkerRssRule",
     "WorkerStarvationRule",
     "WorkerTelemetry",
     "active_span_chain",
+    "alert_key",
     "current_span",
     "default_rules",
     "forecast_exhaustion",

@@ -1,39 +1,26 @@
-"""Declarative runtime alerting over the privacy ledger and metrics.
+"""Declarative runtime alerting over the metric time-series store.
 
-Production DP systems live or die by three live questions the post-hoc
-report cannot answer in time:
+The rules watch what an operator has to see in time: budget burn
+(:class:`BudgetBurnRule`, forecast in releases and in seconds), drift
+of a query's inferred sensitivity (:class:`SensitivityDriftRule`),
+RANGE ENFORCER clamping (:class:`ClampRateRule`), and machinery health
+(:class:`RateRule`, :class:`TrendRule` and :class:`GaugeThresholdRule`
+over labelled metric families, :class:`WorkerStarvationRule`).
 
-* **How fast is the budget burning?**  :class:`BudgetBurnRule`
-  forecasts, at the current average epsilon charge per release, how
-  many more releases fit before the
-  :class:`~repro.dp.budget.PrivacyAccountant` is exhausted.
-* **Has inferred sensitivity drifted?**  :class:`SensitivityDriftRule`
-  keeps a rolling mean/stddev of ``local_sensitivity`` per query
-  fingerprint and fires on a z-score excursion — the repeated-query
-  attack surface RANGE ENFORCER (Algorithm 2) defends, made observable:
-  a later submission of the same query whose inferred sensitivity jumps
-  is exactly the signal an operator wants paged on.
-* **Is RANGE ENFORCER clamping too often?**  :class:`ClampRateRule`
-  fires when the fraction of clamped releases exceeds a threshold —
-  persistent clamping means the fitted range is systematically tighter
-  than the data, i.e. utility is silently degrading.
-
-Rules are evaluated by an :class:`AlertEngine` on every ledger append
-(attach it with :meth:`AlertEngine.attach`) and on every metrics tick
-(:meth:`AlertEngine.observe_metrics` — the introspection server calls
-this per scrape).  Fired alerts land in the ledger header, the
-``ObservedRun`` report, the ``/healthz`` endpoint (degraded status) and
-the CLI exit summary.
-
-A third hook, ``on_window``, evaluates *windowed* conditions against a
-:class:`~repro.obs.timeseries.TimeSeriesStore` — rates and trends over
-sliding time windows rather than point-in-time snapshots.  The engine
-runs it on every store tick once :meth:`AlertEngine.attach_timeseries`
-is wired (``UPASession.attach_timeseries`` does this), which is how a
-continuous ``append``/``retire`` session gets its budget exhaustion
-*forecast in seconds* (windowed :class:`BudgetBurnRule`), clamp-rate
-spike detection (:class:`RateRule`) and sensitivity/worker-RSS growth
-trends (:class:`TrendRule`).
+Every rule is a window rule: ``on_window(store, now)`` reads a
+:class:`~repro.obs.timeseries.TimeSeriesStore` as of ``now``.  One
+method evaluates them, :meth:`AlertEngine.observe_window`, which an
+attached store calls after each tick; ``UPASession`` folds each release
+into the ``release.*`` series
+(:func:`~repro.obs.timeseries.record_release`) and then ticks, so every
+release is one evaluation point.  One dedupe policy covers every rule:
+a firing is keyed by (rule, series, severity), fires at onset, stays
+silent while the condition persists and re-arms once the rule
+evaluates clean; a warning that escalates to critical fires again.
+One :meth:`AlertEngine.replay` re-evaluates a ledger or a store
+through the same path.  Firings land in the ledger header
+(:meth:`AlertEngine.attach`), ``/healthz``, ``repro report`` and the
+CLI exit summary.
 """
 
 from __future__ import annotations
@@ -41,16 +28,21 @@ from __future__ import annotations
 import math
 import threading
 import time
-from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Union
+from dataclasses import asdict, dataclass, field
+from typing import (
+    Any, Callable, Dict, List, Mapping, Optional, Sequence, Set, Tuple, Union,
+)
 
-from repro.dp.budget import PrivacyAccountant
-from repro.engine.metrics import MetricsRegistry, MetricsSnapshot
-from repro.obs.ledger import LedgerEntry, PrivacyLedger
+from repro.engine.metrics import MetricsRegistry
+from repro.obs.crossproc import WORKER_RSS_KB, WORKER_TASKS_COMPLETED
+from repro.obs.exporters import labeled_name, split_labeled_name
+from repro.obs.ledger import PrivacyLedger
 from repro.obs.timeseries import (
     TimeSeriesStore,
     forecast_exhaustion,
     least_squares_slope,
+    record_release,
+    values_at_advances,
 )
 
 
@@ -58,177 +50,176 @@ from repro.obs.timeseries import (
 class Alert:
     """One rule firing.
 
-    ``sequence`` is the ledger sequence that triggered it (None for
-    metrics-tick firings); ``context`` carries the numbers behind the
-    decision so the message never needs re-deriving.
+    ``context`` carries the numbers behind the decision so the message
+    never needs re-deriving; its ``series`` entry names the series the
+    condition holds on (part of the dedupe key, see :func:`alert_key`).
     """
 
     rule: str
     severity: str  # "warning" | "critical"
     message: str
-    sequence: Optional[int] = None
     context: Dict[str, Any] = field(default_factory=dict)
     unix_time: float = field(default_factory=time.time)
 
     def to_dict(self) -> dict:
-        return {
-            "rule": self.rule,
-            "severity": self.severity,
-            "message": self.message,
-            "sequence": self.sequence,
-            "context": dict(self.context),
-            "unix_time": self.unix_time,
-        }
+        return asdict(self)
+
+
+def alert_key(alert: Union[Alert, Mapping[str, Any]]) -> Tuple[str, str, str]:
+    """The dedupe key (rule, series, severity) of an alert or its dict."""
+    if isinstance(alert, Alert):
+        return (alert.rule, str(alert.context.get("series", "")),
+                alert.severity)
+    context = alert.get("context") or {}
+    return (str(alert.get("rule", "")), str(context.get("series", "")),
+            str(alert.get("severity", "")))
 
 
 class AlertRule:
-    """Base rule: override one (or more) evaluation hooks.
+    """Base rule: override ``on_window``.
 
-    ``on_entry`` sees the appended entry plus the full prior history
-    (the new entry is ``history[-1]``); ``on_metrics`` sees a metrics
-    snapshot; ``on_window`` sees the time-series store as of ``now``
-    (points after ``now`` are excluded, so artifact replay evaluates
-    each historical tick faithfully).  All return an :class:`Alert` to
-    fire or None.
+    It sees the time-series store as of ``now`` (points after ``now``
+    are excluded, so replay evaluates each historical tick faithfully)
+    and returns an :class:`Alert` to fire or None.
     """
 
     name = "rule"
-
-    def on_entry(
-        self,
-        entry: LedgerEntry,
-        history: Sequence[LedgerEntry],
-        accountant: Optional[PrivacyAccountant],
-    ) -> Optional[Alert]:
-        return None
-
-    def on_metrics(self, snapshot: MetricsSnapshot) -> Optional[Alert]:
-        return None
 
     def on_window(
         self, store: TimeSeriesStore, now: float
     ) -> Optional[Alert]:
         return None
 
+    def _fire(self, now: float, message: str, context: Dict[str, Any],
+              severity: str = "warning") -> Alert:
+        return Alert(self.name, severity, message, context, now)
 
-def _charged(history: Sequence[LedgerEntry]) -> List[LedgerEntry]:
-    """Entries that actually spent budget (cache hits charge nothing)."""
-    return [e for e in history if not e.cache_hit]
+
+def _worst(
+    store: TimeSeriesStore,
+    metric: str,
+    score: Callable[[str], Optional[float]],
+    limit: float,
+) -> Optional[Tuple[str, float]]:
+    """The highest-scoring series of family ``metric`` scoring over
+    ``limit``, or None.
+
+    ``metric`` matches an exact series name or a labelled family base
+    (``worker_rss_kb`` matches ``worker_rss_kb#worker=123``);
+    ``score`` returns None for a series it cannot score.
+    """
+    worst: Optional[Tuple[str, float]] = None
+    for raw in store.names():
+        if raw != metric and split_labeled_name(raw)[0] != metric:
+            continue
+        value = score(raw)
+        if value is not None and value > (worst[1] if worst else limit):
+            worst = (raw, value)
+    return worst
 
 
 @dataclass
 class BudgetBurnRule(AlertRule):
-    """Forecast budget exhaustion from the burn rate, two ways.
+    """Forecast budget exhaustion from the burn rate, in releases and
+    in seconds.
 
-    Per ledger entry (``on_entry``): average the epsilon charged over
-    the last ``window`` charged entries, read the remaining balance
-    (live from the accountant when available, else from the entry's
-    recorded ``accountant_remaining_epsilon``), and fire when
-    ``remaining / average`` drops below ``min_releases_remaining``.
-
-    Per time-series tick (``on_window``): derive the epsilon charge
-    rate (epsilon/second) over the trailing ``rate_window_seconds`` of
-    the ``release.epsilon_charged`` counter and fire when
-    ``remaining / rate`` forecasts exhaustion within
-    ``min_seconds_remaining`` — a *wall-clock* forecast, which is what
-    a continuous append/retire deployment actually pages on.
-
-    Silent when no balance is known — there is nothing to forecast
-    against without an accountant.
+    The remaining balance is the ``session.budget_remaining_epsilon``
+    gauge; without it the rule is silent.  Releases left is the
+    balance over the mean epsilon charged by the last ``window``
+    charged releases; seconds left is the balance over the trailing
+    charge rate of ``release.epsilon_charged`` across
+    ``rate_window_seconds`` (:func:`forecast_exhaustion`) — the
+    wall-clock forecast a continuous append/retire deployment pages
+    on.  Fires when fewer than ``min_releases_remaining`` releases or
+    ``min_seconds_remaining`` seconds are left; critical below one
+    release or a tenth of the seconds threshold.
     """
 
     min_releases_remaining: float = 5.0
     window: int = 10
-    #: windowed path: fire when exhaustion is forecast within this many
-    #: seconds at the trailing charge rate.
     min_seconds_remaining: float = 300.0
     rate_window_seconds: float = 300.0
     name: str = "budget-burn"
 
     def on_window(self, store, now):
+        remaining = store.latest(MetricsRegistry.BUDGET_REMAINING, until=now)
+        if remaining is None:
+            return None
+        # cumulative (releases, epsilon) at the last window + 1 charged
+        # releases, from the origin when fewer have been recorded.
+        charged = MetricsRegistry.RELEASE_CHARGED
+        counts = values_at_advances(
+            store, charged, charged, now, last=self.window + 1)
+        spent = values_at_advances(
+            store, MetricsRegistry.RELEASE_EPSILON, charged, now,
+            last=self.window + 1)
+        if len(counts) <= self.window:
+            counts, spent = [0.0] + counts, [0.0] + spent
+        releases = burn = None
+        if len(spent) == len(counts) and spent[-1] > spent[0]:
+            burn = (spent[-1] - spent[0]) / (counts[-1] - counts[0])
+            releases = remaining / burn
         forecast = forecast_exhaustion(
             store, window=self.rate_window_seconds, now=now
-        )
-        if forecast is None:
+        ) or {}
+        seconds = forecast.get("seconds_to_exhaustion")
+        soon = seconds is not None and seconds < self.min_seconds_remaining
+        if not soon and (
+            releases is None or releases >= self.min_releases_remaining
+        ):
             return None
-        seconds = forecast["seconds_to_exhaustion"]
-        if seconds >= self.min_seconds_remaining:
-            return None
-        releases = forecast.get("releases_to_exhaustion")
-        suffix = (
-            f", ~{releases:.0f} release(s)" if releases is not None else ""
+        critical = (releases is not None and releases < 1.0) or (
+            seconds is not None
+            and seconds < self.min_seconds_remaining / 10.0
         )
-        return Alert(
-            rule=self.name,
-            severity=(
-                "critical"
-                if seconds < self.min_seconds_remaining / 10.0
-                else "warning"
-            ),
-            message=(
+        if soon:
+            left = releases if releases is not None else forecast.get(
+                "releases_to_exhaustion")
+            suffix = f", ~{left:.0f} release(s)" if left is not None else ""
+            message = (
                 f"budget burn-rate: exhaustion forecast in ~{seconds:.0f}s"
                 f"{suffix} at the trailing charge rate "
                 f"({forecast['epsilon_per_second']:g} eps/s over "
                 f"{self.rate_window_seconds:g}s, remaining epsilon "
-                f"{forecast['remaining_epsilon']:g})"
-            ),
-            context={
-                "metric": MetricsRegistry.RELEASE_EPSILON,
-                "forecast_seconds_to_exhaustion": seconds,
-                **forecast,
-            },
-            unix_time=now,
-        )
-
-    def on_entry(self, entry, history, accountant):
-        if entry.cache_hit:
-            return None
-        remaining: Optional[float] = None
-        total: Optional[float] = None
-        if accountant is not None:
-            balance = accountant.describe()
-            remaining = balance["remaining_epsilon"]
-            total = balance["total_epsilon"]
-        elif entry.accountant_remaining_epsilon is not None:
-            remaining = float(entry.accountant_remaining_epsilon)
-        if remaining is None:
-            return None
-        recent = _charged(history)[-self.window:]
-        charges = [e.epsilon_charged for e in recent if e.epsilon_charged > 0]
-        if not charges:
-            return None
-        burn = sum(charges) / len(charges)
-        forecast = remaining / burn if burn > 0 else math.inf
-        if forecast >= self.min_releases_remaining:
-            return None
-        return Alert(
-            rule=self.name,
-            severity="critical" if forecast < 1.0 else "warning",
-            message=(
-                f"budget burn-rate: ~{forecast:.1f} release(s) left at the "
+                f"{remaining:g})"
+            )
+        else:
+            message = (
+                f"budget burn-rate: ~{releases:.1f} release(s) left at the "
                 f"current spend (remaining epsilon {remaining:g}, mean "
-                f"charge {burn:g} over last {len(charges)} release(s))"
-            ),
-            sequence=entry.sequence,
-            context={
+                f"charge {burn:g} over last "
+                f"{counts[-1] - counts[0]:g} release(s))"
+            )
+        return self._fire(
+            now,
+            message,
+            {
+                "metric": MetricsRegistry.RELEASE_EPSILON,
+                "series": MetricsRegistry.BUDGET_REMAINING,
+                **forecast,
                 "remaining_epsilon": remaining,
-                "total_epsilon": total,
                 "mean_epsilon_charged": burn,
-                "forecast_releases_remaining": forecast,
+                "forecast_releases_remaining": releases,
+                "forecast_seconds_to_exhaustion": seconds,
             },
+            severity="critical" if critical else "warning",
         )
 
 
 @dataclass
 class SensitivityDriftRule(AlertRule):
-    """Rolling z-score of ``local_sensitivity`` per query fingerprint.
+    """Rolling z-score of ``local_sensitivity`` per query.
 
-    For each charged release, the baseline is the mean/stddev of the
-    *prior* ``window`` charged entries with the same query name.  With
-    at least ``min_history`` baseline points, fire when
-    ``|value - mean| / stddev`` exceeds ``z_threshold``; a zero-stddev
-    baseline fires on any deviation at all (the strongest drift signal
-    a constant history can give).
+    Reads the ``release.local_sensitivity#query=<name>`` family.  A
+    query's history holds one value per charged release of that query
+    (the ticks where ``release.charged#query=<name>`` advanced), so
+    sampler ticks and other queries' releases add nothing.  The latest
+    value is compared with the mean/stddev of the ``window`` before
+    it; with at least ``min_history`` of them, it fires when
+    ``|value - mean| / stddev`` exceeds ``z_threshold``.  A
+    zero-stddev baseline fires on any deviation at all (the strongest
+    drift signal a constant history can give).  Names the query with
+    the largest excursion.
     """
 
     z_threshold: float = 3.0
@@ -236,77 +227,95 @@ class SensitivityDriftRule(AlertRule):
     window: int = 50
     name: str = "sensitivity-drift"
 
-    def on_entry(self, entry, history, accountant):
-        if entry.cache_hit:
+    def _drift(self, store, series, now) -> Optional[dict]:
+        base, labels = split_labeled_name(series)
+        if base != MetricsRegistry.RELEASE_SENSITIVITY or not labels \
+                or "query" not in labels:
             return None
-        prior = [
-            e for e in _charged(history[:-1]) if e.query == entry.query
-        ][-self.window:]
+        values = values_at_advances(
+            store, series,
+            labeled_name(MetricsRegistry.RELEASE_CHARGED, **labels), now,
+            last=self.window + 1,
+        )
+        prior = values[:-1]
         if len(prior) < self.min_history:
             return None
-        values = [e.local_sensitivity for e in prior]
-        mean = sum(values) / len(values)
-        variance = sum((v - mean) ** 2 for v in values) / len(values)
-        stddev = math.sqrt(variance)
-        deviation = entry.local_sensitivity - mean
+        value = values[-1]
+        mean = sum(prior) / len(prior)
+        stddev = math.sqrt(sum((v - mean) ** 2 for v in prior) / len(prior))
+        deviation = value - mean
         if stddev == 0.0:
             if deviation == 0.0:
                 return None
-            z = math.inf
+            z = math.copysign(math.inf, deviation)
         else:
             z = deviation / stddev
             if abs(z) <= self.z_threshold:
                 return None
-        return Alert(
-            rule=self.name,
-            severity="warning",
-            message=(
-                f"sensitivity drift on {entry.query!r}: local_sensitivity "
-                f"{entry.local_sensitivity:g} is {z:+.1f} sigma from the "
-                f"rolling baseline (mean {mean:g}, stddev {stddev:g}, "
-                f"n={len(values)}) — inspect before releasing further "
-                "answers for this query"
+        return {
+            "series": series,
+            "query": labels["query"],
+            "local_sensitivity": value,
+            "baseline_mean": mean,
+            "baseline_stddev": stddev,
+            "baseline_count": len(prior),
+            "z": z,
+        }
+
+    def on_window(self, store, now):
+        drifts = [self._drift(store, raw, now) for raw in store.names()]
+        drifts = [d for d in drifts if d is not None]
+        if not drifts:
+            return None
+        drift = max(drifts, key=lambda d: abs(d["z"]))
+        z = drift.pop("z")
+        return self._fire(
+            now,
+            (
+                f"sensitivity drift on {drift['query']!r}: "
+                f"local_sensitivity {drift['local_sensitivity']:g} is "
+                f"{z:+.1f} sigma from the rolling baseline (mean "
+                f"{drift['baseline_mean']:g}, stddev "
+                f"{drift['baseline_stddev']:g}, "
+                f"n={drift['baseline_count']}) — inspect before releasing "
+                "further answers for this query"
             ),
-            sequence=entry.sequence,
-            context={
-                "query": entry.query,
-                "local_sensitivity": entry.local_sensitivity,
-                "baseline_mean": mean,
-                "baseline_stddev": stddev,
-                "baseline_count": len(values),
-                "z_score": z if math.isfinite(z) else None,
-            },
+            {**drift, "z_score": z if math.isfinite(z) else None},
         )
 
 
 @dataclass
 class ClampRateRule(AlertRule):
-    """RANGE ENFORCER clamp-rate threshold over charged releases."""
+    """RANGE ENFORCER clamp rate over charged releases.
+
+    The cumulative ``release.clamps`` over ``release.charged``: cache
+    hits charge nothing and are not counted.  Fires above ``max_rate``
+    once at least ``min_entries`` releases were charged.
+    """
 
     max_rate: float = 0.5
     min_entries: int = 5
     name: str = "clamp-rate"
 
-    def on_entry(self, entry, history, accountant):
-        charged = _charged(history)
-        if len(charged) < self.min_entries:
+    def on_window(self, store, now):
+        charged = store.latest(MetricsRegistry.RELEASE_CHARGED, until=now)
+        if charged is None or charged < self.min_entries:
             return None
-        clamped = sum(1 for e in charged if e.clamped)
-        rate = clamped / len(charged)
+        clamped = store.latest(MetricsRegistry.RELEASE_CLAMPS, until=now)
+        rate = (clamped or 0.0) / charged
         if rate <= self.max_rate:
             return None
-        return Alert(
-            rule=self.name,
-            severity="warning",
-            message=(
-                f"RANGE ENFORCER clamped {clamped}/{len(charged)} releases "
+        return self._fire(
+            now,
+            (
+                f"RANGE ENFORCER clamped {clamped:g}/{charged:g} releases "
                 f"({rate:.0%} > {self.max_rate:.0%}): the fitted range is "
                 "systematically tighter than the data"
             ),
-            sequence=entry.sequence,
-            context={
+            {
+                "series": MetricsRegistry.RELEASE_CLAMPS,
                 "clamped": clamped,
-                "entries": len(charged),
+                "entries": charged,
                 "clamp_rate": rate,
             },
         )
@@ -314,7 +323,7 @@ class ClampRateRule(AlertRule):
 
 @dataclass
 class RateRule(AlertRule):
-    """Windowed rule: counter rate over a sliding window exceeds a cap.
+    """Counter rate over a sliding window exceeds a cap.
 
     ``metric`` matches an exact series name or a labelled family base
     (``release.clamps`` and ``tasks_run#worker=123`` style alike); with
@@ -333,48 +342,39 @@ class RateRule(AlertRule):
     name: str = "rate"
 
     def on_window(self, store, now):
-        from repro.obs.exporters import split_labeled_name
-
-        worst: Optional[tuple] = None
-        for raw in store.names():
-            base, _ = split_labeled_name(raw)
-            if raw != self.metric and base != self.metric:
-                continue
+        def score(series):
             pts = store.points(
-                raw, since=now - self.window_seconds, until=now
+                series, since=now - self.window_seconds, until=now
             )
             if len(pts) < self.min_points:
-                continue
-            rate = store.rate(raw, window=self.window_seconds, now=now)
-            if rate is None or rate <= self.max_rate_per_second:
-                continue
-            if worst is None or rate > worst[1]:
-                worst = (raw, rate)
+                return None
+            return store.rate(series, window=self.window_seconds, now=now)
+
+        worst = _worst(store, self.metric, score, self.max_rate_per_second)
         if worst is None:
             return None
         series, rate = worst
-        return Alert(
-            rule=self.name,
-            severity=self.severity,
-            message=(
+        return self._fire(
+            now,
+            (
                 f"rate spike on {series}: {rate:g}/s over the trailing "
                 f"{self.window_seconds:g}s exceeds "
                 f"{self.max_rate_per_second:g}/s"
             ),
-            context={
+            {
                 "metric": self.metric,
                 "series": series,
                 "rate_per_second": rate,
                 "max_rate_per_second": self.max_rate_per_second,
                 "window_seconds": self.window_seconds,
             },
-            unix_time=now,
+            severity=self.severity,
         )
 
 
 @dataclass
 class TrendRule(AlertRule):
-    """Windowed rule: least-squares slope over a window exceeds a cap.
+    """Least-squares slope over a window exceeds a cap.
 
     ``metric`` matches exact names or labelled family bases (so one
     rule covers every ``worker_rss_kb#worker=<pid>`` series).  With
@@ -393,43 +393,35 @@ class TrendRule(AlertRule):
     name: str = "trend"
 
     def on_window(self, store, now):
-        from repro.obs.exporters import split_labeled_name
-
-        worst: Optional[tuple] = None
-        for raw in store.names():
-            base, _ = split_labeled_name(raw)
-            if raw != self.metric and base != self.metric:
-                continue
+        def score(series):
             pts = store.points(
-                raw, since=now - self.window_seconds, until=now
+                series, since=now - self.window_seconds, until=now
             )
             if len(pts) < self.min_points:
-                continue
+                return None
             slope = least_squares_slope(pts)
             if slope is None:
-                continue
+                return None
             if self.relative:
                 mean = sum(v for _, v in pts) / len(pts)
                 if mean == 0.0:
-                    continue
+                    return None
                 slope = slope / abs(mean)
-            if slope <= self.max_slope_per_second:
-                continue
-            if worst is None or slope > worst[1]:
-                worst = (raw, slope)
+            return slope
+
+        worst = _worst(store, self.metric, score, self.max_slope_per_second)
         if worst is None:
             return None
         series, slope = worst
         unit = "fraction/s" if self.relative else "units/s"
-        return Alert(
-            rule=self.name,
-            severity=self.severity,
-            message=(
+        return self._fire(
+            now,
+            (
                 f"upward trend on {series}: slope {slope:g} {unit} over "
                 f"the trailing {self.window_seconds:g}s exceeds "
                 f"{self.max_slope_per_second:g} {unit}"
             ),
-            context={
+            {
                 "metric": self.metric,
                 "series": series,
                 "slope_per_second": slope,
@@ -437,33 +429,40 @@ class TrendRule(AlertRule):
                 "window_seconds": self.window_seconds,
                 "relative": self.relative,
             },
-            unix_time=now,
+            severity=self.severity,
         )
 
 
 @dataclass
 class GaugeThresholdRule(AlertRule):
-    """Metrics-tick rule: fire while gauge ``metric`` exceeds ``max_value``."""
+    """A gauge of family ``metric`` exceeds ``max_value``.
+
+    ``metric`` matches an exact name or a labelled family base; the
+    highest series over the threshold is named.  The default instance
+    watches every worker's ``worker_rss_kb`` against a deliberately
+    generous 4 GiB — it exists to catch a leaking worker, not to police
+    normal footprints.
+    """
 
     metric: str = ""
     max_value: float = math.inf
     name: str = "gauge-threshold"
 
-    def on_metrics(self, snapshot):
-        if self.metric not in snapshot.gauges:
+    def on_window(self, store, now):
+        worst = _worst(store, self.metric,
+                       lambda series: store.latest(series, until=now),
+                       self.max_value)
+        if worst is None:
             return None
-        value = snapshot.gauges[self.metric]
-        if value <= self.max_value:
-            return None
-        return Alert(
-            rule=self.name,
-            severity="warning",
-            message=(
-                f"gauge {self.metric} = {value:g} exceeds the configured "
+        series, value = worst
+        return self._fire(
+            now,
+            (
+                f"gauge {series} = {value:g} exceeds the configured "
                 f"threshold {self.max_value:g}"
             ),
-            context={"metric": self.metric, "value": value,
-                     "max_value": self.max_value},
+            {"metric": self.metric, "series": series,
+                     "value": value, "max_value": self.max_value},
         )
 
 
@@ -471,12 +470,12 @@ class GaugeThresholdRule(AlertRule):
 class WorkerStarvationRule(AlertRule):
     """Process backend configured, but all work falls back to the driver.
 
-    Fires on a metrics tick when at least ``min_fallbacks`` jobs have
-    taken the fallback path while **no** worker has completed a single
-    task (every ``worker_tasks_completed`` gauge absent or zero).  That
-    combination means the pool is spawned and idle — typically every
-    shipped lineage has an unpicklable closure — and the operator is
-    paying process-pool overhead for thread-path throughput.  Silent on
+    Fires when at least ``min_fallbacks`` jobs have taken the fallback
+    path while **no** worker has completed a single task (every
+    ``worker_tasks_completed`` gauge absent or zero).  That combination
+    means the pool is spawned and idle — typically every shipped
+    lineage has an unpicklable closure — and the operator is paying
+    process-pool overhead for thread-path throughput.  Silent on
     thread/inline sessions: the ``process_fallbacks`` counter only
     exists once a processes-backend scheduler is constructed.
     """
@@ -484,97 +483,55 @@ class WorkerStarvationRule(AlertRule):
     min_fallbacks: float = 1.0
     name: str = "worker-starvation"
 
-    def on_metrics(self, snapshot):
-        from repro.obs.crossproc import WORKER_TASKS_COMPLETED
-        from repro.obs.exporters import split_labeled_name
-
-        fallbacks = snapshot.counters.get("process_fallbacks")
+    def on_window(self, store, now):
+        fallbacks = store.latest(
+            MetricsRegistry.PROCESS_FALLBACKS, until=now)
         if fallbacks is None or fallbacks < self.min_fallbacks:
             return None
         completed = 0.0
-        for raw, value in snapshot.gauges.items():
+        for raw in store.names():
             base, labels = split_labeled_name(raw)
             if base == WORKER_TASKS_COMPLETED and labels:
-                completed += value
+                completed += store.latest(raw, until=now) or 0.0
         if completed > 0:
             return None
-        return Alert(
-            rule=self.name,
-            severity="warning",
-            message=(
+        return self._fire(
+            now,
+            (
                 f"process workers are starving: {fallbacks:g} job(s) fell "
                 "back to the thread/inline path and no worker has "
                 "completed a task — shipped lineages are not crossing "
                 "the process boundary"
             ),
-            context={
+            {
+                "series": MetricsRegistry.PROCESS_FALLBACKS,
                 "process_fallbacks": fallbacks,
                 "worker_tasks_completed": completed,
             },
         )
 
 
-@dataclass
-class WorkerRssRule(AlertRule):
-    """Fire when any worker's rss gauge exceeds ``max_rss_kb``.
-
-    A label-aware :class:`GaugeThresholdRule`: the per-worker
-    ``worker_rss_kb`` gauges carry a ``worker=<pid>`` label, so the
-    rule scans every series of the family and names the worst offender.
-    The default threshold (4 GiB) is deliberately generous — the rule
-    exists to catch a leaking worker, not to police normal footprints.
-    """
-
-    max_rss_kb: float = 4.0 * 1024 * 1024
-    name: str = "worker-rss"
-
-    def on_metrics(self, snapshot):
-        from repro.obs.crossproc import WORKER_RSS_KB
-        from repro.obs.exporters import split_labeled_name
-
-        worst: Optional[tuple] = None
-        for raw, value in snapshot.gauges.items():
-            base, labels = split_labeled_name(raw)
-            if base != WORKER_RSS_KB or not labels:
-                continue
-            if value > self.max_rss_kb and (
-                worst is None or value > worst[1]
-            ):
-                worst = (labels.get("worker", "?"), value)
-        if worst is None:
-            return None
-        pid, rss = worst
-        return Alert(
-            rule=self.name,
-            severity="warning",
-            message=(
-                f"worker {pid} rss {rss:g} kB exceeds the configured "
-                f"threshold {self.max_rss_kb:g} kB"
-            ),
-            context={"worker": pid, "rss_kb": rss,
-                     "max_rss_kb": self.max_rss_kb},
-        )
-
-
 def default_rules() -> List[AlertRule]:
     """The rules every monitored session should run.
 
-    The ledger-driven trio (budget burn, sensitivity drift, clamp
-    rate) plus the process-worker health pair — the latter are silent
-    no-ops unless a processes-backend session is actually running —
-    and two windowed rules that only evaluate once a time-series store
-    is attached: a clamp-rate spike detector and a worker-RSS growth
-    trend (sustained > 1 MiB/s over two minutes means a leaking
-    worker, not a working set).  Sensitivity-drift trends are left to
-    explicit :class:`TrendRule` instances because a useful relative
-    threshold is workload-specific.
+    The release trio (budget burn, sensitivity drift, clamp rate), the
+    process-worker health rules — silent unless a processes-backend
+    session is actually running — and a clamp-rate spike detector.
+    Worker RSS is gated both by level (4 GiB) and by growth (sustained
+    > 1 MiB/s over two minutes means a leaking worker, not a working
+    set).  Sensitivity trends are left to explicit :class:`TrendRule`
+    instances because a useful relative threshold is workload-specific.
     """
     return [
         BudgetBurnRule(),
         SensitivityDriftRule(),
         ClampRateRule(),
         WorkerStarvationRule(),
-        WorkerRssRule(),
+        GaugeThresholdRule(
+            metric=WORKER_RSS_KB,
+            max_value=4.0 * 1024 * 1024,
+            name="worker-rss",
+        ),
         RateRule(
             metric=MetricsRegistry.RELEASE_CLAMPS,
             max_rate_per_second=1.0,
@@ -583,7 +540,7 @@ def default_rules() -> List[AlertRule]:
             name="clamp-spike",
         ),
         TrendRule(
-            metric="worker_rss_kb",
+            metric=WORKER_RSS_KB,
             max_slope_per_second=1024.0,
             window_seconds=120.0,
             min_points=5,
@@ -593,110 +550,74 @@ def default_rules() -> List[AlertRule]:
 
 
 class AlertEngine:
-    """Evaluates rules on ledger appends and metrics ticks; keeps firings.
+    """Evaluates the rules over a time-series store; keeps firings.
 
-    Thread-safe: ledger appends arrive from the session thread while
-    the introspection server ticks metrics from scrape threads.
-    Metrics-tick rules are deduplicated per (rule, metric context) so a
-    scrape loop does not refile the same condition every second;
-    ledger-entry firings are naturally unique per sequence.
+    Thread-safe: release ticks arrive from the session thread while
+    the sampler thread and scrape handlers tick the same store.  The
+    engine's state is the firing list plus, per rule, the keys fired
+    since that rule last evaluated clean — bounded by rules × series,
+    never by the number of releases.
     """
 
-    def __init__(
-        self,
-        rules: Optional[Sequence[AlertRule]] = None,
-        accountant: Optional[PrivacyAccountant] = None,
-    ):
+    def __init__(self, rules: Optional[Sequence[AlertRule]] = None):
         self.rules = list(rules) if rules is not None else default_rules()
-        self.accountant = accountant
         self._lock = threading.Lock()
         self._alerts: List[Alert] = []
-        self._history: List[LedgerEntry] = []
-        self._metric_fired: set = set()
-        self._window_fired: set = set()
+        #: rule index -> keys fired since the rule last evaluated clean.
+        self._firing: Dict[int, Set[Tuple[str, str, str]]] = {}
         self._ledger: Optional[PrivacyLedger] = None
-        self._timeseries: Optional[TimeSeriesStore] = None
 
     # -- wiring -------------------------------------------------------
     def attach(self, ledger: PrivacyLedger) -> "AlertEngine":
-        """Subscribe to ``ledger`` appends; firings land in its header."""
+        """Land firings in ``ledger``'s header (``"alerts"``)."""
         self._ledger = ledger
-        ledger.add_listener(self.observe_entry)
         return self
 
     def attach_timeseries(self, store: TimeSeriesStore) -> "AlertEngine":
-        """Evaluate windowed rules on every tick of ``store``."""
-        self._timeseries = store
+        """Evaluate the rules on every tick of ``store``."""
+        # Looked up per tick, not bound once, so a wrapper installed
+        # on the class later (a profiler, the benchmark's tracer)
+        # still sees every evaluation.
         store.add_listener(lambda s, t: self.observe_window(s, now=t))
         return self
 
     # -- evaluation ---------------------------------------------------
-    def observe_entry(self, entry: LedgerEntry) -> List[Alert]:
-        """Evaluate every rule against one appended ledger entry."""
-        with self._lock:
-            self._history.append(entry)
-            history = list(self._history)
-        fired: List[Alert] = []
-        for rule in self.rules:
-            alert = rule.on_entry(entry, history, self.accountant)
-            if alert is not None:
-                fired.append(alert)
-        if fired:
-            self._record(fired)
-        return fired
-
-    def observe_metrics(self, snapshot: MetricsSnapshot) -> List[Alert]:
-        """Evaluate metrics-tick rules against one snapshot."""
-        fired: List[Alert] = []
-        for rule in self.rules:
-            alert = rule.on_metrics(snapshot)
-            if alert is None:
-                continue
-            key = (alert.rule, alert.message)
-            with self._lock:
-                if key in self._metric_fired:
-                    continue
-                self._metric_fired.add(key)
-            fired.append(alert)
-        if fired:
-            self._record(fired)
-        return fired
-
     def observe_window(
         self, store: TimeSeriesStore, now: Optional[float] = None
     ) -> List[Alert]:
-        """Evaluate windowed rules against the store as of ``now``.
+        """Evaluate every rule against ``store`` as of ``now``.
 
-        Deduplicated per (rule, metric, series) — the *condition*, not
-        the message, because windowed messages embed numbers that churn
-        every tick.  A rule that keeps being true therefore fires once,
-        same philosophy as the metrics-tick dedupe.
+        A firing is keyed by :func:`alert_key` — (rule, series,
+        severity), never the message, whose numbers churn every tick.
+        It fires at onset, stays silent while the rule keeps returning
+        that key, and re-arms when the rule next evaluates clean; an
+        escalation to critical is a new key and fires again.
         """
         t = time.time() if now is None else float(now)
         fired: List[Alert] = []
-        for rule in self.rules:
+        for index, rule in enumerate(self.rules):
             alert = rule.on_window(store, t)
-            if alert is None:
-                continue
-            key = (
-                alert.rule,
-                alert.context.get("metric", ""),
-                alert.context.get("series", ""),
-            )
             with self._lock:
-                if key in self._window_fired:
+                firing = self._firing.setdefault(index, set())
+                if alert is None:
+                    firing.clear()
                     continue
-                self._window_fired.add(key)
+                key = alert_key(alert)
+                if key in firing:
+                    continue
+                firing.add(key)
             fired.append(alert)
         if fired:
-            self._record(fired)
+            with self._lock:
+                self._alerts.extend(fired)
+            if self._ledger is not None:
+                self._ledger.update_header(alerts=self.to_dicts())
         return fired
 
-    def _record(self, fired: Sequence[Alert]) -> None:
-        with self._lock:
-            self._alerts.extend(fired)
-        if self._ledger is not None:
-            self._ledger.update_header(alerts=self.to_dicts())
+    #: Alias kept only so the name still resolves for the release
+    #: benchmark (perfbench/harness.py wraps it by name); there is no
+    #: second evaluation path.
+    observe_metrics = observe_window
 
     # -- queries ------------------------------------------------------
     def alerts(self) -> List[Alert]:
@@ -711,11 +632,7 @@ class AlertEngine:
 
     def firing_rules(self) -> List[str]:
         """Distinct rule names that have fired, in first-firing order."""
-        seen: List[str] = []
-        for alert in self.alerts():
-            if alert.rule not in seen:
-                seen.append(alert.rule)
-        return seen
+        return list(dict.fromkeys(a.rule for a in self.alerts()))
 
     def to_dicts(self) -> List[dict]:
         return [a.to_dict() for a in self.alerts()]
@@ -727,11 +644,8 @@ class AlertEngine:
             return ""
         lines = [f"{len(alerts)} alert(s) fired:"]
         for alert in alerts:
-            where = f" [entry {alert.sequence}]" if (
-                alert.sequence is not None) else ""
             lines.append(
-                f"  {alert.severity.upper()} {alert.rule}{where}: "
-                f"{alert.message}"
+                f"  {alert.severity.upper()} {alert.rule}: {alert.message}"
             )
         return "\n".join(lines)
 
@@ -740,22 +654,35 @@ class AlertEngine:
     ) -> List[Alert]:
         """Evaluate an existing artifact against the rules.
 
-        A :class:`PrivacyLedger` replays entry by entry; a
-        :class:`TimeSeriesStore` (e.g. rebuilt from a ``--timeseries``
-        JSONL artifact via :meth:`TimeSeriesStore.read_jsonl`) replays
-        tick by tick, evaluating each window *as of* that tick so the
-        replay fires exactly what a live session would have.  Returns
-        everything fired during the replay.
+        A :class:`TimeSeriesStore` (e.g. rebuilt from a
+        ``--timeseries`` JSONL artifact) is evaluated as of each
+        recorded tick.  A :class:`PrivacyLedger` is folded entry by
+        entry into a fresh registry and store through
+        :func:`~repro.obs.timeseries.record_release` — the function a
+        live session uses — ticking at the entry's timestamp and
+        evaluating after each entry, so every entry is an evaluation
+        point however long the ledger.  Returns everything fired.
         """
+        fired: List[Alert] = []
         if isinstance(source, TimeSeriesStore):
-            return self.replay_timeseries(source)
-        fired: List[Alert] = []
+            for t in source.tick_times():
+                fired.extend(self.observe_window(source, now=t))
+            return fired
+        store = TimeSeriesStore(MetricsRegistry())
+        t = -math.inf
         for entry in source.entries():
-            fired.extend(self.observe_entry(entry))
-        return fired
-
-    def replay_timeseries(self, store: TimeSeriesStore) -> List[Alert]:
-        fired: List[Alert] = []
-        for t in store.tick_times():
-            fired.extend(self.observe_window(store, now=t))
+            record_release(
+                store.metrics,
+                query=entry.query,
+                epsilon_charged=entry.epsilon_charged,
+                cache_hit=entry.cache_hit,
+                clamped=entry.clamped,
+                records_removed=entry.records_removed,
+                local_sensitivity=entry.local_sensitivity,
+                remaining_epsilon=entry.accountant_remaining_epsilon,
+                spent_epsilon=entry.accountant_spent_epsilon,
+            )
+            # strictly increasing ticks, even for same-instant entries
+            t = max(entry.unix_time, t + 1e-6)
+            fired.extend(self.observe_window(store, now=store.tick(now=t)))
         return fired

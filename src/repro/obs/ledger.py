@@ -51,11 +51,13 @@ def _as_floats(values: Any) -> Tuple[float, ...]:
 class LedgerEntry:
     """One audited release (or cache hit) of a query answer.
 
-    All fields are safe to persist: they describe the *mechanism's
-    calibration*, not the raw data (the range and fit are themselves
-    derived from sampled neighbours and are what the DP analysis
-    reasons about — contrast with ``UPAResult.raw_output``, which must
-    never leave the curator).
+    Not every field is safe to publish.  ``fitted_mean`` /
+    ``fitted_std``, ``range_lower`` / ``range_upper``,
+    ``local_sensitivity`` and ``estimated_local_sensitivity`` are
+    computed from the data and carry no noise: for a count query
+    ``fitted_mean`` is the exact count.  Treat an entry like
+    ``UPAResult.raw_output`` — curator-side — unless those fields are
+    dropped.
     """
 
     #: position in the ledger (0-based, append order).

@@ -309,23 +309,19 @@ class ObservabilityServer:
         })
 
     def _tick_alerts(self) -> None:
-        """One metrics tick per scrape: evaluate metric-driven rules.
+        """One rate-limited tick of a live store per scrape.
 
-        When a live time-series store is attached this also drives a
-        rate-limited store tick (which in turn evaluates the windowed
-        rules through the store's listeners) — so on an idle-but-
-        serving session the act of scraping keeps the series, and
-        therefore the alert state, fresh between releases.  A store
-        rebuilt from an artifact (``metrics is None``) is never ticked:
-        replayed history must stay exactly as recorded.
+        The tick evaluates the alert rules through the store's
+        listeners, so an idle-but-serving session's series and alert
+        state stay fresh.  A store rebuilt from an artifact
+        (``metrics is None``) is never ticked: replayed history must
+        stay exactly as recorded.
         """
         if (
             self.timeseries is not None
             and self.timeseries.metrics is not None
         ):
             self.timeseries.tick_if_due()
-        if self.alerts is not None and self.metrics is not None:
-            self.alerts.observe_metrics(self.metrics.snapshot())
 
     def _extra_prometheus_blocks(self) -> List[List[str]]:
         ns = self.namespace

@@ -55,6 +55,7 @@ from typing import (
 )
 
 from repro.engine.metrics import HistogramSummary, MetricsRegistry
+from repro.obs.exporters import labeled_name, split_labeled_name
 
 #: artifact format tag, first line of every time-series JSONL file.
 TIMESERIES_FORMAT = "upa-timeseries/1"
@@ -201,6 +202,10 @@ class TimeSeriesStore:
                     gauges[name + ".mean"] = summary.mean
                     gauges[name + ".p95"] = summary.p95
         with self._lock:
+            # a sampler tick and a release tick may race: never let
+            # time run backwards, so every series stays in time order.
+            if self._last_tick is not None and t < self._last_tick:
+                t = self._last_tick
             for name, value in counters.items():
                 series = self._series.get(name)
                 if series is None:
@@ -316,16 +321,17 @@ class TimeSeriesStore:
         The half-open lower bound makes windowed reads composable with
         :meth:`rate`; ``until`` lets :meth:`AlertEngine.replay
         <repro.obs.alerts.AlertEngine.replay>` evaluate windows *as of*
-        a historical tick without seeing the future.
+        a historical tick without seeing the future.  Points are in
+        time order, so a bound that every point meets costs nothing.
         """
         with self._lock:
             series = self._series.get(name)
             if series is None:
                 return []
             pts = list(series.points)
-        if since is not None:
+        if since is not None and pts and pts[0][0] <= since:
             pts = [p for p in pts if p[0] > since]
-        if until is not None:
+        if until is not None and pts and pts[-1][0] > until:
             pts = [p for p in pts if p[0] <= until]
         return pts
 
@@ -410,8 +416,6 @@ class TimeSeriesStore:
         ``step`` resamples each series to at most one point per
         ``step`` seconds (last value wins — cheap, monotone-safe).
         """
-        from repro.obs.exporters import split_labeled_name
-
         end = self._resolve_now(now)
         wanted = None
         if series:
@@ -651,13 +655,91 @@ def forecast_exhaustion(
     return forecast
 
 
+def values_at_advances(
+    store: TimeSeriesStore,
+    series: str,
+    counter: str,
+    now: Optional[float] = None,
+    last: Optional[int] = None,
+) -> List[float]:
+    """Values of ``series`` at the ticks where ``counter`` advanced.
+
+    Oldest first, as of ``now``, at most the newest ``last``: one value
+    per tick at which the cumulative ``counter`` rose (its first point
+    counts as rising from zero), so ticks that recorded no release add
+    nothing.  ``series`` is read at or before each such tick, which
+    stays well-defined after downsampling has averaged gauge
+    timestamps.
+    """
+    end = store._resolve_now(now)
+    values = store.points(series, until=end)
+    counts = store.points(counter, until=end)
+    out: List[float] = []
+    i = len(values) - 1
+    for j in range(len(counts) - 1, -1, -1):
+        if last is not None and len(out) >= last:
+            break
+        t, count = counts[j]
+        if count <= (counts[j - 1][1] if j else 0.0):
+            continue
+        while i >= 0 and values[i][0] > t:
+            i -= 1
+        if i < 0:
+            break
+        out.append(values[i][1])
+    out.reverse()
+    return out
+
+
+def record_release(
+    metrics: MetricsRegistry,
+    *,
+    query: str,
+    epsilon_charged: float,
+    cache_hit: bool,
+    clamped: bool,
+    records_removed: int,
+    local_sensitivity: float,
+    remaining_epsilon: Optional[float] = None,
+    spent_epsilon: Optional[float] = None,
+) -> None:
+    """Fold one release into the ``release.*`` and budget series.
+
+    ``UPASession`` calls this after every release and
+    :meth:`AlertEngine.replay <repro.obs.alerts.AlertEngine.replay>`
+    after every ledger entry, so a replayed ledger feeds the rules the
+    same series a live session does.  Cache hits count as releases
+    but charge nothing, so they touch none of the charged-release
+    series.  The budget gauges are set only when a balance is known.
+    """
+    metrics.incr(MetricsRegistry.RELEASES)
+    if not cache_hit:
+        # label values must not contain the label-encoding separators
+        label = query.replace("#", "_").replace(",", "_").replace("=", "_")
+        charged = MetricsRegistry.RELEASE_CHARGED
+        sensitivity = MetricsRegistry.RELEASE_SENSITIVITY
+        metrics.incr(MetricsRegistry.RELEASE_EPSILON, epsilon_charged)
+        metrics.incr(charged)
+        metrics.incr(labeled_name(charged, query=label))
+        if clamped:
+            metrics.incr(MetricsRegistry.RELEASE_CLAMPS)
+        if records_removed:
+            metrics.incr(MetricsRegistry.RELEASE_RECORDS_REMOVED,
+                         float(records_removed))
+        metrics.set_gauge(sensitivity, local_sensitivity)
+        metrics.set_gauge(labeled_name(sensitivity, query=label),
+                          local_sensitivity)
+    if remaining_epsilon is not None:
+        metrics.set_gauge(MetricsRegistry.BUDGET_REMAINING, remaining_epsilon)
+    if spent_epsilon is not None:
+        metrics.set_gauge(MetricsRegistry.BUDGET_SPENT, spent_epsilon)
+
+
 def order_series(
     names: Iterable[str], key_series: Sequence[str] = KEY_SERIES
 ) -> List[str]:
     """Order ``names`` with the key series (and their labelled family
     members) first, everything else alphabetically after."""
-    from repro.obs.exporters import split_labeled_name
-
     names = list(names)
     leading: List[str] = []
     for key in key_series:
@@ -678,5 +760,7 @@ __all__ = [
     "forecast_exhaustion",
     "least_squares_slope",
     "order_series",
+    "record_release",
     "resample",
+    "values_at_advances",
 ]

@@ -3,9 +3,9 @@
 Complements ``tests/test_obs.py`` (post-hoc tracing/metrics/ledger):
 here we cover the Prometheus/OTLP exporters against a strict
 line-grammar checker, the introspection HTTP server round-tripped
-through ``http.client`` on an ephemeral port, alert rules on synthetic
-ledgers, the sampling profiler's span attribution, and ledger
-crash-safety.
+through ``http.client`` on an ephemeral port, alert rules over
+synthetic releases folded into a time-series store, the sampling
+profiler's span attribution, and ledger crash-safety.
 """
 
 import http.client
@@ -27,7 +27,6 @@ from repro.obs.alerts import (
     ClampRateRule,
     GaugeThresholdRule,
     SensitivityDriftRule,
-    WorkerRssRule,
     WorkerStarvationRule,
     default_rules,
 )
@@ -54,6 +53,7 @@ from repro.obs.profiler import (
     span_table_from_collapsed,
 )
 from repro.obs.server import ObservabilityServer
+from repro.obs.timeseries import TimeSeriesStore, record_release
 from repro.obs.tracing import Tracer
 
 
@@ -138,6 +138,32 @@ def _entry(seq, query="q", eps=0.1, sens=1.0, clamped=False,
         matched_prior=False, records_removed=0,
         accountant_remaining_epsilon=remaining, cache_hit=cache_hit,
     )
+
+
+def _fold(store, entry):
+    """Fold one synthetic release into ``store`` the way a session
+    does, one tick per release, releases 1000 s apart."""
+    record_release(
+        store.metrics, query=entry.query,
+        epsilon_charged=entry.epsilon_charged, cache_hit=entry.cache_hit,
+        clamped=entry.clamped, records_removed=entry.records_removed,
+        local_sensitivity=entry.local_sensitivity,
+        remaining_epsilon=entry.accountant_remaining_epsilon,
+    )
+    return store.tick(now=1000.0 * (len(store.tick_times()) + 1))
+
+
+def _store_of(entries, engine=None):
+    store = TimeSeriesStore(MetricsRegistry())
+    if engine is not None:
+        engine.attach_timeseries(store)
+    for entry in entries:
+        _fold(store, entry)
+    return store
+
+
+def _window(rule, store):
+    return rule.on_window(store, store.last_tick)
 
 
 # ---------------------------------------------------------------------------
@@ -429,16 +455,16 @@ class TestObservedRunWorkers:
 class TestAlertRules:
     def test_sensitivity_drift_fires_and_degrades(self):
         ledger = PrivacyLedger()
-        engine = AlertEngine(rules=[SensitivityDriftRule()])
-        engine.attach(ledger)
-        for i in range(6):
-            ledger.append(_entry(i, sens=1.0))
+        engine = AlertEngine(rules=[SensitivityDriftRule()]).attach(ledger)
+        store = _store_of([_entry(i, sens=1.0) for i in range(6)], engine)
         assert engine.alerts() == []
-        ledger.append(_entry(6, sens=5.0))
+        _fold(store, _entry(6, sens=5.0))
         fired = engine.alerts()
         assert len(fired) == 1
         assert fired[0].rule == "sensitivity-drift"
         assert "sensitivity drift" in fired[0].message
+        assert fired[0].context["series"] == labeled_name(
+            MetricsRegistry.RELEASE_SENSITIVITY, query="q")
         assert engine.degraded is True
         assert engine.firing_rules() == ["sensitivity-drift"]
         header_alerts = ledger.header.get("alerts")
@@ -446,119 +472,124 @@ class TestAlertRules:
             header_alerts[0]["rule"] == "sensitivity-drift"
 
     def test_drift_silent_below_min_history(self):
-        ledger = PrivacyLedger()
         engine = AlertEngine(rules=[SensitivityDriftRule()])
-        engine.attach(ledger)
-        for i in range(4):
-            ledger.append(_entry(i, sens=1.0))
-        ledger.append(_entry(4, sens=100.0))
+        store = _store_of([_entry(i, sens=1.0) for i in range(4)], engine)
+        _fold(store, _entry(4, sens=100.0))
         assert engine.alerts() == []
 
     def test_drift_nonzero_stddev_uses_z_score(self):
         rule = SensitivityDriftRule(min_history=4)
-        history = [_entry(i, sens=s) for i, s in
-                   enumerate([1.0, 1.2, 0.8, 1.0])]
-        probe = _entry(4, sens=1.1)
-        history_plus = history + [probe]
-        assert rule.on_entry(probe, history_plus, None) is None
-        spike = _entry(5, sens=10.0)
-        alert = rule.on_entry(spike, history + [spike], None)
+        store = _store_of([_entry(i, sens=s) for i, s in
+                           enumerate([1.0, 1.2, 0.8, 1.0, 1.1])])
+        assert _window(rule, store) is None
+        _fold(store, _entry(5, sens=10.0))
+        alert = _window(rule, store)
         assert alert is not None
         assert alert.context["z_score"] > 3.0
 
     def test_budget_burn_from_recorded_balance(self):
         rule = BudgetBurnRule()
-        history = [_entry(i, eps=0.1, remaining=1.0) for i in range(3)]
-        tail = _entry(3, eps=0.1, remaining=0.05)
-        alert = rule.on_entry(tail, history + [tail], None)
+        store = _store_of([_entry(i, eps=0.1, remaining=1.0)
+                           for i in range(3)]
+                          + [_entry(3, eps=0.1, remaining=0.05)])
+        alert = _window(rule, store)
         assert alert is not None and alert.severity == "critical"
         assert alert.context["forecast_releases_remaining"] < 1.0
 
     def test_budget_burn_live_accountant_warning(self):
         accountant = PrivacyAccountant(total_epsilon=1.0)
-        accountant.charge(0.6, label="q")
-        rule = BudgetBurnRule()
-        history = [_entry(i, eps=0.2) for i in range(3)]
-        alert = rule.on_entry(history[-1], history, accountant)
+        entries = []
+        for i in range(3):
+            accountant.charge(0.2, label="q")
+            entries.append(_entry(i, eps=0.2,
+                                  remaining=accountant.remaining_epsilon()))
+        alert = _window(BudgetBurnRule(), _store_of(entries))
         assert alert is not None and alert.severity == "warning"
         assert alert.context["remaining_epsilon"] == pytest.approx(0.4)
 
     def test_budget_burn_silent_without_balance(self):
-        rule = BudgetBurnRule()
-        history = [_entry(i, eps=0.2) for i in range(3)]
-        assert rule.on_entry(history[-1], history, None) is None
+        store = _store_of([_entry(i, eps=0.2) for i in range(3)])
+        assert _window(BudgetBurnRule(), store) is None
 
     def test_clamp_rate_fires_above_threshold(self):
-        ledger = PrivacyLedger()
         engine = AlertEngine(rules=[ClampRateRule()])
-        engine.attach(ledger)
-        for i in range(4):
-            ledger.append(_entry(i, clamped=True))
+        store = _store_of([_entry(i, clamped=True) for i in range(4)],
+                          engine)
         assert engine.alerts() == []  # below min_entries
-        ledger.append(_entry(4, clamped=False))
+        _fold(store, _entry(4, clamped=False))
         fired = engine.alerts()
         assert fired and fired[0].rule == "clamp-rate"
         assert fired[0].context["clamp_rate"] == pytest.approx(0.8)
 
     def test_cache_hits_do_not_count(self):
-        rule = ClampRateRule()
-        history = [_entry(i, clamped=True, cache_hit=True)
-                   for i in range(10)]
-        assert rule.on_entry(history[-1], history, None) is None
+        store = _store_of([_entry(i, clamped=True, cache_hit=True)
+                           for i in range(10)])
+        assert _window(ClampRateRule(), store) is None
 
     def test_gauge_threshold_dedupes_on_metrics_tick(self):
         engine = AlertEngine(rules=[
             GaugeThresholdRule(metric="queue_depth", max_value=10.0)
         ])
-        snap = MetricsSnapshot(gauges={"queue_depth": 50.0})
-        first = engine.observe_metrics(snap)
+        store = TimeSeriesStore(MetricsRegistry())
+        store.metrics.set_gauge("queue_depth", 50.0)
+        first = engine.observe_window(store, now=store.tick(now=1.0))
         assert len(first) == 1
-        again = engine.observe_metrics(snap)
-        assert again == []  # identical firing deduplicated
+        again = engine.observe_window(store, now=store.tick(now=2.0))
+        assert again == []  # the condition persists: no refiling
         assert len(engine.alerts()) == 1
 
+    @staticmethod
+    def _metrics_store(counters=(), gauges=()):
+        store = TimeSeriesStore(MetricsRegistry())
+        for name, value in dict(counters).items():
+            store.metrics.incr(name, value)
+        for name, value in dict(gauges).items():
+            store.metrics.set_gauge(name, value)
+        store.tick(now=1.0)
+        return store
+
     def test_worker_starvation_fires_when_pool_idles(self):
-        rule = WorkerStarvationRule()
-        snap = MetricsSnapshot(counters={"process_fallbacks": 2.0})
-        alert = rule.on_metrics(snap)
+        store = self._metrics_store(counters={"process_fallbacks": 2.0})
+        alert = _window(WorkerStarvationRule(), store)
         assert alert is not None and alert.severity == "warning"
         assert alert.context["process_fallbacks"] == 2.0
 
     def test_worker_starvation_silent_when_workers_complete_tasks(self):
-        rule = WorkerStarvationRule()
-        snap = MetricsSnapshot(
+        store = self._metrics_store(
             counters={"process_fallbacks": 2.0},
             gauges={labeled_name(WORKER_TASKS_COMPLETED, worker="7"): 3.0},
         )
-        assert rule.on_metrics(snap) is None
+        assert _window(WorkerStarvationRule(), store) is None
 
     def test_worker_starvation_silent_off_the_process_backend(self):
         # Thread/inline registries never pre-seed process_fallbacks, so
         # the rule must not fire on its mere absence.
-        assert WorkerStarvationRule().on_metrics(MetricsSnapshot()) is None
+        store = self._metrics_store()
+        assert _window(WorkerStarvationRule(), store) is None
 
     def test_worker_rss_names_the_worst_offender(self):
-        rule = WorkerRssRule(max_rss_kb=1000.0)
-        snap = MetricsSnapshot(gauges={
+        rule = GaugeThresholdRule(metric=WORKER_RSS_KB, max_value=1000.0)
+        store = self._metrics_store(gauges={
             labeled_name(WORKER_RSS_KB, worker="7"): 1500.0,
             labeled_name(WORKER_RSS_KB, worker="8"): 2500.0,
-            WORKER_RSS_KB: 9999.0,  # unlabelled: not a worker series
+            "worker_rss_kb_total": 9999.0,  # another family
         })
-        alert = rule.on_metrics(snap)
+        alert = _window(rule, store)
         assert alert is not None
-        assert alert.context["worker"] == "8"
-        assert alert.context["rss_kb"] == 2500.0
+        assert alert.context["series"] == labeled_name(WORKER_RSS_KB,
+                                                       worker="8")
+        assert alert.context["value"] == 2500.0
 
     def test_worker_rss_silent_under_threshold(self):
-        rule = WorkerRssRule(max_rss_kb=1000.0)
-        snap = MetricsSnapshot(gauges={
+        rule = GaugeThresholdRule(metric=WORKER_RSS_KB, max_value=1000.0)
+        store = self._metrics_store(gauges={
             labeled_name(WORKER_RSS_KB, worker="7"): 999.0,
         })
-        assert rule.on_metrics(snap) is None
+        assert _window(rule, store) is None
 
     def test_default_rules_include_worker_health_pair(self):
-        names = {type(r).__name__ for r in default_rules()}
-        assert {"WorkerStarvationRule", "WorkerRssRule"} <= names
+        names = {r.name for r in default_rules()}
+        assert {"worker-starvation", "worker-rss"} <= names
 
     def test_replay_synthetic_ledger(self):
         ledger = PrivacyLedger()
@@ -572,11 +603,8 @@ class TestAlertRules:
 
     def test_summary_lists_firings(self):
         engine = AlertEngine(rules=[SensitivityDriftRule()])
-        ledger = PrivacyLedger()
-        engine.attach(ledger)
-        for i in range(6):
-            ledger.append(_entry(i, sens=1.0))
-        ledger.append(_entry(6, sens=5.0))
+        _store_of([_entry(i, sens=1.0) for i in range(6)]
+                  + [_entry(6, sens=5.0)], engine)
         summary = engine.summary()
         assert "sensitivity-drift" in summary
 
@@ -777,7 +805,8 @@ class TestObservabilityServer:
         status, _, body = _http_get(server.port, "/healthz")
         assert status == 200
         assert json.loads(body)["status"] == "ok"
-        ledger.append(_entry(6, sens=50.0))  # trigger drift
+        ledger.append(_entry(6, sens=50.0))
+        engine.replay(ledger)  # the spike drifts from the flat history
         assert engine.degraded
         status, _, body = _http_get(server.port, "/healthz")
         assert status == 503

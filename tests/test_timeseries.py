@@ -8,12 +8,15 @@ Covers the time-series layer end to end:
   corrupt-line tolerance, ``AlertEngine.replay()`` over an artifact;
 * windowed rules — ``BudgetBurnRule`` forecasting exhaustion *before*
   the accountant runs out, ``RateRule``/``TrendRule`` primitives;
+* the one dedupe policy — onset, persistence, re-arm, escalation — and
+  an engine whose state does not grow with the number of releases;
 * surfaces — golden ``repro watch`` terminal frame, the ``/timeseries``
   + ``/dashboard`` endpoints against a live append loop, HTTP 400 on
   malformed query params;
 * the invariant that sampling never changes DP outputs.
 """
 
+import dataclasses
 import http.client
 import json
 import threading
@@ -35,6 +38,7 @@ from repro.obs.timeseries import (
     forecast_exhaustion,
     least_squares_slope,
     order_series,
+    record_release,
     resample,
 )
 from repro.obs.watch import budget_forecast, render_watch, spark
@@ -389,6 +393,93 @@ class TestAlertEngineWindows:
         ))
         engine = AlertEngine()
         engine.replay(ledger)  # dispatch must keep the ledger path
+
+
+class TestDedupePolicy:
+    """One key (rule, series, severity): fire at onset, stay silent
+    while the condition persists, re-arm once the rule evaluates clean,
+    fire again on escalation."""
+
+    def test_rising_rss_gauge_files_one_alert_over_100_scrapes(self):
+        from repro.obs.server import ObservabilityServer
+
+        registry = MetricsRegistry()
+        store = TimeSeriesStore(registry, interval=1e-9)  # tick per scrape
+        engine = AlertEngine().attach_timeseries(store)
+        server = ObservabilityServer(
+            metrics=registry, alerts=engine, timeseries=store
+        ).start()
+        series = labeled_name("worker_rss_kb", worker="7")
+        try:
+            for i in range(100):
+                registry.set_gauge(series, 5.0 * 1024 * 1024 + i)
+                _http_get(server.port, "/healthz")
+        finally:
+            server.stop()
+        assert len(store.tick_times()) == 100
+        rss = [a for a in engine.alerts() if a.rule == "worker-rss"]
+        assert len(rss) == 1
+        assert rss[0].context["series"] == series
+
+    def test_budget_burn_warns_once_then_escalates_once(self):
+        from repro.obs.ledger import PrivacyLedger, make_entry
+
+        ledger = PrivacyLedger()
+        for i in range(10):
+            entry = make_entry(
+                sequence=i, query="q", epsilon_charged=1.0, delta=0.0,
+                mechanism="laplace", sample_size=10, mean=[0.0],
+                std=[1.0], lower=[0.0], upper=[1.0], local_sensitivity=1.0,
+                estimated_local_sensitivity=1.0, clamped=False,
+                matched_prior=False, records_removed=0,
+                accountant_remaining_epsilon=9.0 - i,
+            )
+            ledger.append(dataclasses.replace(entry,
+                                              unix_time=1000.0 * (i + 1)))
+        engine = AlertEngine(rules=[BudgetBurnRule(min_releases_remaining=10)])
+        engine.replay(ledger)
+        # 9, 8, ... 1 release(s) left is one persisting warning; 0 left
+        # escalates to critical once.
+        assert [a.severity for a in engine.alerts()] == ["warning",
+                                                         "critical"]
+
+    def test_clamp_spike_fires_again_after_it_clears(self):
+        store = _make_store()
+        engine = AlertEngine().attach_timeseries(store)
+        t = 0.0
+        for clamps_per_tick, ticks in ((30, 5), (0, 70), (30, 5)):
+            for _ in range(ticks):
+                t += 1.0
+                store.metrics.incr(MetricsRegistry.RELEASE_CLAMPS,
+                                   clamps_per_tick)
+                store.tick(now=t)
+        spikes = [a for a in engine.alerts() if a.rule == "clamp-spike"]
+        assert len(spikes) == 2
+        assert spikes[1].unix_time > 75.0  # inside the second spike
+
+    def test_engine_state_bounded_over_5000_releases(self):
+        store = _make_store()
+        engine = AlertEngine().attach_timeseries(store)
+        spikes = 0
+        for i in range(5000):
+            spike = i % 1000 == 999
+            spikes += spike
+            record_release(
+                store.metrics, query="q", epsilon_charged=0.1,
+                cache_hit=False, clamped=False, records_removed=0,
+                local_sensitivity=10.0 if spike else 1.0,
+                remaining_epsilon=1e9 - 0.1 * (i + 1),
+            )
+            store.tick(now=float(i))
+        # each spike is one drift onset; the flat release after it
+        # evaluates clean and re-arms the rule for the next one.
+        assert len(engine.alerts()) == spikes == 5
+        assert {a.rule for a in engine.alerts()} == {"sensitivity-drift"}
+        # no per-release state: besides the firings themselves, every
+        # container the engine holds is bounded by its rules.
+        for name, value in vars(engine).items():
+            if isinstance(value, (list, dict, set)) and name != "_alerts":
+                assert len(value) <= len(engine.rules), name
 
 
 class TestSessionWiring:
